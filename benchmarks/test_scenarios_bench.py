@@ -7,8 +7,15 @@ root (the perf trajectory of the dynamics subsystem):
   events at 3x the rate of the ``drift`` preset (hundreds of world events per
   run) without changing any scheduling outcome, so its wall-clock delta vs
   ``static`` isolates the pure cost of the event-source processes, the
-  ``WorldEvent`` funnel and the lazy calibration rescale.  The full-size run
-  asserts this stays **< 10 %**.
+  ``WorldEvent`` funnel and the lazy calibration rescale.  World dynamics
+  run only on the legacy per-job-process engine, so the ``static``
+  reference is pinned to it too (``fast_path=False``): the gate compares
+  like with like.  The full-size run asserts this stays **< 10 %**.
+* **Gap to the default engine** — ``static`` is also timed on the flat
+  fast path (its default engine) as ``static-fast-path``, and
+  ``engine_gap_vs_fast_path`` records ``hooks-only``'s wall-clock relative
+  to it: what world dynamics cost over a static run as users get it.
+  Context only, not asserted.
 * **Preset wall-clocks** — every preset is timed and recorded.  Outage and
   traffic presets legitimately change the simulated work itself (requeued
   jobs re-execute, offline fleets stretch the schedule), so their deltas are
@@ -60,27 +67,32 @@ HOOKS_ONLY = Scenario(
 )
 
 
-def _run_once(scenario):
+def _run_once(scenario, fast_path=True):
     start = time.perf_counter()
     env = QCloudSimEnv(
-        SimulationConfig(num_jobs=NUM_JOBS, policy="fidelity"), scenario=scenario
+        SimulationConfig(num_jobs=NUM_JOBS, policy="fidelity", fast_path=fast_path),
+        scenario=scenario,
     )
     records = env.run_until_complete()
     return time.perf_counter() - start, env, records
 
 
 def test_scenario_overhead_benchmark():
-    scenarios = {name: name for name in available_scenarios()}
-    scenarios["hooks-only"] = HOOKS_ONLY
-    _run_once(None)  # warm-up: device catalogue, coupling maps, caches
+    # name -> (scenario, fast_path).  The static reference of the overhead
+    # gate runs on the legacy engine, like every world-dynamics scenario.
+    scenarios = {name: (name, True) for name in available_scenarios()}
+    scenarios["static"] = ("static", False)
+    scenarios["static-fast-path"] = ("static", True)
+    scenarios["hooks-only"] = (HOOKS_ONLY, True)
+    _run_once(None, fast_path=False)  # warm-up: device catalogue, coupling maps, caches
 
     # Interleave the repetitions round-robin so transient machine load hits
     # every scenario equally instead of biasing one overhead ratio.
     best = {name: float("inf") for name in scenarios}
     last = {}
     for _ in range(REPEATS):
-        for name, scenario in scenarios.items():
-            seconds, env, records = _run_once(scenario)
+        for name, (scenario, fast_path) in scenarios.items():
+            seconds, env, records = _run_once(scenario, fast_path)
             best[name] = min(best[name], seconds)
             last[name] = (env, records)
 
@@ -94,6 +106,7 @@ def test_scenario_overhead_benchmark():
             "world_events": len(engine.applied_events) if engine is not None else 0,
             "event_counts": engine.event_counts() if engine is not None else {},
             "requeues": sum(r.retries for r in records),
+            "engine": env.engine_reason,
         }
 
     static_seconds = results["static"]["seconds"]
@@ -101,6 +114,9 @@ def test_scenario_overhead_benchmark():
         if name != "static":
             result["wallclock_vs_static"] = result["seconds"] / static_seconds - 1.0
     hook_overhead = results["hooks-only"]["wallclock_vs_static"]
+    engine_gap = (
+        results["hooks-only"]["seconds"] / results["static-fast-path"]["seconds"] - 1.0
+    )
 
     payload = {
         "benchmark": "scenarios",
@@ -108,6 +124,7 @@ def test_scenario_overhead_benchmark():
         "skip_timing": SKIP_TIMING,
         "config": {"num_jobs": NUM_JOBS, "policy": "fidelity", "repeats": REPEATS},
         "hook_overhead_vs_static": hook_overhead,
+        "engine_gap_vs_fast_path": engine_gap,
         "scenarios": results,
     }
 
@@ -119,12 +136,15 @@ def test_scenario_overhead_benchmark():
         print(f"{name:<14} {result['seconds']:>9.3f} {result['world_events']:>7} "
               f"{result['requeues']:>9} {suffix}")
     print(f"hook overhead (hooks-only vs static): {hook_overhead:+.1%}")
+    print(f"engine gap (hooks-only vs static on the fast path): {engine_gap:+.1%}")
 
     # Assertions gate the artifact: BENCH_scenarios.json is only (re)written
     # once they pass, so a failing run never overwrites a good baseline.
     for name in scenarios:
         assert results[name]["jobs_completed"] == NUM_JOBS, f"{name} lost jobs"
     assert results["hooks-only"]["world_events"] > (10 if TINY else 100)
+    assert results["static"]["engine"] == "legacy: fast_path disabled"
+    assert results["static-fast-path"]["engine"] == "fast path"
     if not SKIP_TIMING:
         # Acceptance target: the drift/outage hook machinery stays under 10 %
         # wall-clock vs the static world at the drift preset's event rate.

@@ -395,7 +395,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             from repro.des.monitoring import EventLoopStats
 
             stats = EventLoopStats.from_env(env, wall_seconds=wall)
-            print(f"engine        : {'flat fast path' if env.fast_path_active else 'legacy processes'}")
+            # "flat fast path", or "legacy: <why the flat path did not run>".
+            print(f"engine        : {'flat ' if env.fast_path_active else ''}{env.engine_reason}")
             print(f"events        : {stats.events_processed:,} in {stats.batches_processed:,} batches "
                   f"(mean {stats.mean_batch_size:.2f}, max {stats.max_batch_size})")
             print(f"peak queue    : {stats.peak_queue_size:,}")
@@ -626,9 +627,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--checkpointing", action="store_true",
                        help="checkpointed preemption: aborted jobs (outages, preemptions) "
                             "resume with only their remaining shots")
-    p_sim.add_argument("--fast-path", action="store_true",
-                       help="flat-event dispatcher for bulk runs (byte-identical results; "
-                            "falls back to the legacy engine when ineligible)")
+    p_sim.add_argument("--fast-path", action=argparse.BooleanOptionalAction, default=True,
+                       help="flat-event dispatcher, the default for eligible runs "
+                            "(byte-identical results); --no-fast-path forces the legacy "
+                            "engine. --stats prints which engine ran and why")
     p_sim.add_argument("--stats", action="store_true",
                        help="print event-loop statistics (events, batches, events/s); "
                             "runs in-process")

@@ -83,10 +83,11 @@ class SimulationConfig:
     #: Flat-event fast path (:mod:`repro.cloud.fastpath`): replace the
     #: per-job broker processes with the flat pending-table dispatcher when
     #: the configuration is eligible (plain broker, no tenant mix, no world
-    #: dynamics).  Results are byte-identical to the legacy engine; the
-    #: request silently falls back to the legacy path when ineligible.  Off
-    #: by default.
-    fast_path: bool = False
+    #: dynamics, no replayed trace, no active adaptive policy).  Results are
+    #: byte-identical to the legacy engine.  On by default; ineligible runs
+    #: use the legacy engine and ``QCloudSimEnv.engine_reason`` says why.
+    #: ``False`` forces the legacy engine (the byte-identity reference).
+    fast_path: bool = True
 
     #: Named multi-region topology (see :mod:`repro.region`): the run becomes
     #: a sharded cloud — one broker shard per region behind a routing tier,

@@ -22,6 +22,7 @@ from typing import Any, Generator, List, Optional, Sequence
 from repro.cloud.broker import Broker
 from repro.cloud.communication import ClassicalCommunicationModel
 from repro.cloud.config import SimulationConfig
+from repro.cloud.fastpath import FlatDispatcher, JobTable, flat_path_eligible
 from repro.cloud.job_generator import JobGenerator, generate_synthetic_jobs
 from repro.cloud.qcloud import QCloud
 from repro.cloud.qjob import QJob
@@ -75,9 +76,11 @@ class QCloudSimEnv(Environment):
     fast_path:
         Use the flat-event dispatcher (:mod:`repro.cloud.fastpath`) instead
         of per-job broker processes when the configuration is eligible
-        (overrides ``config.fast_path``).  Byte-identical results; silently
-        falls back to the legacy engine when ineligible.  Whether it engaged
-        is reported by :attr:`fast_path_active`.
+        (overrides ``config.fast_path``, which defaults to ``True``; pass
+        ``False`` to force the legacy engine).  Byte-identical results;
+        ineligible configurations run on the legacy engine.  Whether the
+        dispatcher engaged is reported by :attr:`fast_path_active`, and why
+        not by :attr:`engine_reason` (e.g. ``"legacy: tenant mix"``).
     job_table:
         A :class:`~repro.cloud.fastpath.JobTable` as the workload — the
         streaming bulk form that never materialises per-job objects.
@@ -237,32 +240,28 @@ class QCloudSimEnv(Environment):
 
         # -- dispatch engine -----------------------------------------------------
         want_fast = fast_path if fast_path is not None else self.config.fast_path
-        if job_table is not None:
-            want_fast = True
+        eligibility = flat_path_eligible(
+            self.broker, self.tenant_mix, self.scenario, self.adaptive_policy
+        )
+        if job_table is not None and not eligibility:
+            raise ValueError(
+                "job_table requires a fast-path-eligible configuration "
+                "(plain broker, no tenant mix, no world dynamics, no "
+                f"active adaptive policy), not one with: {eligibility.reason}"
+            )
         #: Whether the flat-event dispatcher is driving this run.
-        self.fast_path_active = False
-        if want_fast:
-            from repro.cloud.fastpath import FlatDispatcher, JobTable, flat_path_eligible
-
-            eligible = flat_path_eligible(self.broker, self.tenant_mix, self.scenario)
-            if eligible and self.adaptive_policy is not None and not self.adaptive_policy.is_static:
-                # The flat dispatcher bypasses broker.submit, which is where
-                # the control plane senses arrivals — an active adaptive
-                # policy falls back to the legacy engine.
-                eligible = False
-            if job_table is not None and not eligible:
-                raise ValueError(
-                    "job_table requires a fast-path-eligible configuration "
-                    "(plain broker, no tenant mix, no world dynamics, no "
-                    "active adaptive policy)"
-                )
-            if eligible:
-                table = job_table if job_table is not None else JobTable.from_jobs(jobs)
-                self.job_generator = FlatDispatcher(
-                    self, self.broker, table, records=self.records
-                )
-                self.fast_path_active = True
-        if not self.fast_path_active:
+        self.fast_path_active = bool(eligibility) and (want_fast or job_table is not None)
+        #: Which engine runs and why: ``"fast path"``, or ``"legacy: <reason>"``
+        #: (``fast_path disabled``, or the :func:`flat_path_eligible` reason).
+        self.engine_reason = (
+            "fast path"
+            if self.fast_path_active
+            else f"legacy: {eligibility.reason or 'fast_path disabled'}"
+        )
+        if self.fast_path_active:
+            table = job_table if job_table is not None else JobTable.from_jobs(jobs)
+            self.job_generator = FlatDispatcher(self, self.broker, table, records=self.records)
+        else:
             self.job_generator = JobGenerator(self, self.broker, jobs, records=self.records)
 
         #: The world-dynamics runtime (``None`` for plain static runs).

@@ -5,8 +5,10 @@ The legacy pipeline runs one generator-based DES process per job
 composable but costs ~15 heap events and several generator resumptions per
 completed job.  At a million jobs that overhead dominates the run.
 
-This module provides the opt-in replacement used when ``fast_path`` is
-enabled on :class:`~repro.cloud.environment.QCloudSimEnv`:
+This module provides the replacement that
+:class:`~repro.cloud.environment.QCloudSimEnv` runs by default for every
+eligible configuration (``fast_path=False`` forces the legacy engine, which
+stays the byte-identity reference):
 
 * :class:`JobTable` — the workload as NumPy column arrays (job id, arrival
   time, qubits, depth, shots, gate counts) instead of a list of
@@ -20,7 +22,7 @@ enabled on :class:`~repro.cloud.environment.QCloudSimEnv`:
   planning/reservation runs in a single pump loop, and each sub-job costs
   exactly one heap event (plus one communication event for split jobs).
 * :func:`flat_path_eligible` — the guard deciding when the flat dispatcher
-  may replace the legacy machinery.
+  may replace the legacy machinery, and naming the reason when it may not.
 
 Byte identity
 -------------
@@ -48,8 +50,15 @@ state where the legacy engine planned it mid-completion.  Continuous
 arrival processes hit this with probability zero; batch arrivals (all at
 ``t=0``) cannot collide with completions at all.
 
-Ineligible configurations (tenant mixes, scenarios with world dynamics,
-custom brokers) silently keep the legacy path, which remains the default.
+Ineligible configurations (tenant mixes, custom brokers, replayed traces,
+scenarios with world dynamics, active adaptive policies) keep the legacy
+path; ``QCloudSimEnv.engine_reason`` says which engine ran and why.
+
+Devices taken offline by hand (``set_offline``) are excluded from planning
+on both engines.  The flat path runs no per-sub-job process, though, so
+``kill_running`` has nothing to interrupt there: in-flight sub-jobs on the
+device drain.  Killing outages are world dynamics and keep the legacy
+engine.
 """
 
 from __future__ import annotations
@@ -67,7 +76,7 @@ from repro.cloud.records import JobRecord
 from repro.des.events import NORMAL, URGENT, Event
 from repro.metrics.fidelity import final_fidelity
 
-__all__ = ["JobTable", "FlatDispatcher", "flat_path_eligible", "PUMP"]
+__all__ = ["JobTable", "FlatDispatcher", "Eligibility", "flat_path_eligible", "PUMP"]
 
 #: Scheduling priority of the dispatcher's pump event: after every NORMAL
 #: event of the timestamp (completions release qubits at NORMAL), mirroring
@@ -410,27 +419,54 @@ class _FlatJob:
         self.comm_delay = 0.0
 
 
-def flat_path_eligible(broker: Any, tenant_mix: Any, scenario: Any) -> bool:
-    """Whether the flat dispatcher may replace the legacy engine.
+class Eligibility:
+    """Verdict of :func:`flat_path_eligible`: truthy when the flat dispatcher
+    may run; otherwise :attr:`reason` names what keeps the legacy engine."""
+
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: Optional[str] = None) -> None:
+        #: ``None`` when eligible, else a short phrase such as ``"tenant mix"``.
+        self.reason = reason
+
+    def __bool__(self) -> bool:
+        return self.reason is None
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return "Eligibility(eligible)" if self.reason is None else f"Eligibility({self.reason!r})"
+
+
+def flat_path_eligible(
+    broker: Any, tenant_mix: Any, scenario: Any, adaptive: Any = None
+) -> Eligibility:
+    """Whether the flat dispatcher may replace the legacy engine, and if not, why.
 
     Eligible: the plain :class:`~repro.cloud.broker.Broker` (no tenant mix /
     serve layer, no custom subclass) in a world without runtime dynamics —
     no scenario at all, or a scenario that injects neither drift nor
     outages nor maintenance nor replayed events (traffic-only presets such
-    as ``rush-hour`` qualify: they only shape arrivals).  Everything else
-    keeps the legacy path, whose behaviour is the reference.
+    as ``rush-hour`` qualify: they only shape arrivals) — and no active
+    adaptive policy (the dispatcher bypasses ``broker.submit``, where the
+    control plane senses arrivals; the ``static`` preset qualifies).
+    Everything else keeps the legacy path, whose behaviour is the reference.
+    The returned :class:`Eligibility` is falsy for ineligible runs, with
+    :attr:`Eligibility.reason` set to ``"tenant mix"``, ``"custom broker"``,
+    ``"replay trace"``, ``"world dynamics"`` or ``"adaptive policy"``.
     """
     from repro.cloud.broker import Broker
 
-    if type(broker) is not Broker:
-        return False
     if tenant_mix is not None:
-        return False
-    if scenario is None:
-        return True
-    if scenario.is_replay:
-        return False
-    return not scenario.has_world_dynamics
+        return Eligibility("tenant mix")
+    if type(broker) is not Broker:
+        return Eligibility("custom broker")
+    if scenario is not None:
+        if scenario.is_replay:
+            return Eligibility("replay trace")
+        if scenario.has_world_dynamics:
+            return Eligibility("world dynamics")
+    if adaptive is not None and not adaptive.is_static:
+        return Eligibility("adaptive policy")
+    return Eligibility()
 
 
 class FlatDispatcher:
@@ -497,10 +533,13 @@ class FlatDispatcher:
         self._total_capacity = self.cloud.total_qubits
         self._log_event = self.records.log_event
         self._plan = self.policy.plan
-        # Eligible worlds have no outages/maintenance/drift (see
-        # :func:`flat_path_eligible`), so the online fleet is the same list
-        # for the whole run — compute it once instead of per pump.
+        # Eligible worlds inject no outages or maintenance (see
+        # :func:`flat_path_eligible`), but a device may still be taken
+        # offline by hand.  Plan over a cached online-fleet list, rebuilt
+        # only when some device changed availability since it was built
+        # (one integer compare per pump).
         self._online_devices = self.cloud.online_devices
+        self._online_epoch = self.cloud.availability_epoch
         # Streaming managers discard event detail strings; skip formatting
         # them (device lists, fidelity reprs) when nobody stores them.
         self._keep_detail = getattr(self.records, "KEEPS_EVENT_DETAIL", True)
@@ -635,6 +674,10 @@ class FlatDispatcher:
         table = self.table
         jobs = table.jobs
         view = self._row_view
+        cloud = self.cloud
+        if self._online_epoch != cloud.availability_epoch:
+            self._online_devices = cloud.online_devices
+            self._online_epoch = cloud.availability_epoch
         online_devices = self._online_devices
         dispatched: List[Tuple[_FlatJob, List[Tuple[Any, int, int, int, int]]]] = []
         fragment_count = 0

@@ -55,6 +55,11 @@ class QCloud:
         names = [d.name for d in self.devices]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate device names: {names}")
+        #: Count of device online/offline transitions, so a cached
+        #: :attr:`online_devices` list can be checked for staleness in O(1).
+        self.availability_epoch = 0
+        for device in self.devices:
+            device.cloud = self
 
         self.communication = communication or ClassicalCommunicationModel()
         #: Serialises the plan-and-reserve critical section (FIFO admission).

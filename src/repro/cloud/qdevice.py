@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Dict, Generator, Optional, Tuple
 
 import networkx as nx
 import numpy as np
 
 from repro.circuits.circuit import CircuitSpec
 from repro.des.environment import Environment
+from repro.des.events import Process
 from repro.des.exceptions import Interrupt
 from repro.des.resources.container import Container
 from repro.hardware.backends import DeviceProfile
@@ -95,13 +96,18 @@ class BaseQDevice:
         self.outage_count = 0
         #: Number of sub-jobs aborted by outages.
         self.aborted_subjobs = 0
-        #: In-flight execution processes (interrupted on a killing outage).
-        self._running: set = set()
+        #: In-flight execution processes in start order (a killing outage
+        #: interrupts them in that order; a dict keeps it reproducible, where a
+        #: set would follow object addresses).  Values are unused.
+        self._running: Dict[Process, None] = {}
         #: Active offline causes; the device is online iff this is empty.
         #: Tracked per cause so overlapping outage and maintenance windows
         #: don't cancel each other (the device recovers only when *every*
         #: cause has cleared).
         self._offline_causes: set = set()
+        #: The :class:`~repro.cloud.qcloud.QCloud` this device belongs to
+        #: (set by the cloud); told of every online/offline transition.
+        self.cloud = None
 
     # -- capacity --------------------------------------------------------------
     @property
@@ -193,6 +199,8 @@ class BaseQDevice:
         self._offline_causes.add(cause)
         if was_online:
             self.outage_count += 1
+            if self.cloud is not None:
+                self.cloud.availability_epoch += 1
         if kill_running:
             for process in list(self._running):
                 if process is not None and process.is_alive:
@@ -211,7 +219,11 @@ class BaseQDevice:
             self._offline_causes.clear()
         else:
             self._offline_causes.discard(cause)
-        return not self._offline_causes
+        if self._offline_causes:
+            return False
+        if self.cloud is not None:
+            self.cloud.availability_epoch += 1
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "" if self.online else " OFFLINE"
@@ -258,6 +270,10 @@ class IBMQuantumDevice(QuantumDevice):
         self._l2qv = 0.0
         self._fid_bases_for: Optional[object] = None
         self._fid_bases = (0.0, 0.0, 0.0)
+        #: Error scores keyed on ``(alpha, theta, gamma)``, valid for the
+        #: calibration snapshot in ``_scores_for`` (same identity check).
+        self._scores_for: Optional[object] = None
+        self._scores: Dict[Tuple[float, float, float], float] = {}
         self._refresh_aggregates()
 
     @classmethod
@@ -317,15 +333,28 @@ class IBMQuantumDevice(QuantumDevice):
         return self._avg_two_qubit_error
 
     def error_score(self, alpha: float = 0.5, theta: float = 0.3, gamma: float = 0.2) -> float:
-        """Calibration-derived error score ``E_i`` (Eq. 2)."""
-        return error_score_from_averages(
-            self.avg_readout_error,
-            self.avg_single_qubit_error,
-            self.avg_two_qubit_error,
-            alpha=alpha,
-            theta=theta,
-            gamma=gamma,
-        )
+        """Calibration-derived error score ``E_i`` (Eq. 2).
+
+        Cached per calibration snapshot and weights: policies ask for it on
+        every plan.  The first call for a snapshot and weights computes (and
+        validates) it; a new snapshot clears the cache.  Invalid weights are
+        never cached, so they raise on every call.
+        """
+        if self._scores_for is not self._calibration:
+            self._scores = {}
+            self._scores_for = self._calibration
+        key = (alpha, theta, gamma)
+        score = self._scores.get(key)
+        if score is None:
+            score = self._scores[key] = error_score_from_averages(
+                self.avg_readout_error,
+                self.avg_single_qubit_error,
+                self.avg_two_qubit_error,
+                alpha=alpha,
+                theta=theta,
+                gamma=gamma,
+            )
+        return score
 
     # -- execution ---------------------------------------------------------------
     def calculate_process_time(self, circuit: CircuitSpec) -> float:
@@ -511,7 +540,7 @@ class IBMQuantumDevice(QuantumDevice):
         start = self.env.now
         process = self.env.active_process
         if process is not None:
-            self._running.add(process)
+            self._running[process] = None
         try:
             yield self.env.timeout(duration)
         except Interrupt:
@@ -538,7 +567,7 @@ class IBMQuantumDevice(QuantumDevice):
             )
         finally:
             if process is not None:
-                self._running.discard(process)
+                self._running.pop(process, None)
         self.completed_subjobs += 1
         self.busy_time += self.env.now - start
         self.qubit_seconds += fragment.num_qubits * (self.env.now - start)

@@ -21,6 +21,20 @@ from repro.cloud.job_generator import generate_synthetic_jobs
 from repro.cloud.qjob import QJob
 
 
+def _untrained_rl_policy():
+    """``rlbase`` as ``repro compare --model`` builds it, left untrained."""
+    from repro.gymapi.spaces import Box
+    from repro.rl.policies import ActorCriticPolicy
+    from repro.scheduling.rl_policy import RLAllocationPolicy
+
+    model = ActorCriticPolicy(
+        Box(0.0, np.inf, shape=(16,), dtype=np.float64),
+        Box(0.0, 1.0, shape=(5,), dtype=np.float64),
+        seed=0,
+    )
+    return RLAllocationPolicy(model)
+
+
 def _run(fast, policy="speed", arrival=None, scenario=None, jobs=None, n=50):
     """One simulation; returns (events, records, failed, fast_path_active)."""
     if jobs is None:
@@ -33,6 +47,7 @@ def _run(fast, policy="speed", arrival=None, scenario=None, jobs=None, n=50):
     env = QCloudSimEnv(
         config=SimulationConfig(policy=policy, fast_path=fast),
         jobs=jobs,
+        policy=_untrained_rl_policy() if policy == "rlbase" else None,
         scenario=scenario,
     )
     env.run()
@@ -43,7 +58,7 @@ def _run(fast, policy="speed", arrival=None, scenario=None, jobs=None, n=50):
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("policy", ["speed", "fidelity", "fair", "balanced"])
+    @pytest.mark.parametrize("policy", ["speed", "fidelity", "fair", "balanced", "rlbase"])
     def test_identical_streams(self, policy):
         for arrival in (None, 0.5):
             for scenario in (None, "rush-hour"):
@@ -74,10 +89,12 @@ class TestByteIdentity:
 
 
 class TestEligibility:
-    def test_default_is_legacy(self):
+    def test_default_is_fast_path(self):
+        assert SimulationConfig().fast_path
         env = QCloudSimEnv(config=SimulationConfig(),
                            jobs=generate_synthetic_jobs(num_jobs=3, seed=1))
-        assert not env.fast_path_active
+        assert env.fast_path_active
+        assert env.engine_reason == "fast path"
 
     def test_dynamic_scenario_falls_back(self):
         # flaky-fleet injects outages — world dynamics keep the legacy path.
@@ -108,8 +125,59 @@ class TestEligibility:
         env = QCloudSimEnv(config=SimulationConfig(),
                            jobs=generate_synthetic_jobs(num_jobs=2, seed=1))
         assert flat_path_eligible(env.broker, None, None)
+        assert flat_path_eligible(env.broker, None, None).reason is None
         custom = CustomBroker.__new__(CustomBroker)
         assert not flat_path_eligible(custom, None, None)
+        assert flat_path_eligible(custom, None, None).reason == "custom broker"
+
+    def test_disabled_fast_path_reason(self):
+        env = QCloudSimEnv(config=SimulationConfig(fast_path=False),
+                           jobs=generate_synthetic_jobs(num_jobs=2, seed=1))
+        assert not env.fast_path_active
+        assert env.engine_reason == "legacy: fast_path disabled"
+
+    def test_tenant_mix_reason(self):
+        env = QCloudSimEnv(config=SimulationConfig(num_jobs=3, tenants="single"))
+        assert not env.fast_path_active
+        assert env.engine_reason == "legacy: tenant mix"
+
+    def test_world_dynamics_reason(self):
+        env = QCloudSimEnv(config=SimulationConfig(num_jobs=3, scenario="drift"))
+        assert not env.fast_path_active
+        assert env.engine_reason == "legacy: world dynamics"
+
+    def test_replay_trace_reason(self, tmp_path):
+        # Even a trace of a static run (no world events) replays on the
+        # legacy engine.
+        recorded = QCloudSimEnv(config=SimulationConfig(num_jobs=3, seed=2))
+        recorded.run_until_complete()
+        path = recorded.save_trace(str(tmp_path / "static.jsonl"))
+        env = QCloudSimEnv(config=SimulationConfig(num_jobs=3, scenario=path))
+        assert not env.fast_path_active
+        assert env.engine_reason == "legacy: replay trace"
+
+    def test_adaptive_policy_reason(self):
+        env = QCloudSimEnv(config=SimulationConfig(num_jobs=3, adaptive="reactive"))
+        assert not env.fast_path_active
+        assert env.engine_reason == "legacy: adaptive policy"
+        static = QCloudSimEnv(config=SimulationConfig(num_jobs=3, adaptive="static"))
+        assert static.engine_reason == "fast path"
+
+    def test_hand_offline_device_matches_legacy(self):
+        # A device taken offline after construction must be left out of
+        # planning on both engines, with identical streams.
+        jobs = generate_synthetic_jobs(num_jobs=20, seed=4, arrival="poisson",
+                                       arrival_rate=0.5)
+        streams = []
+        for fast in (False, True):
+            env = QCloudSimEnv(config=SimulationConfig(fast_path=fast), jobs=jobs)
+            env.cloud.device(env.cloud.device_names()[0]).set_offline()
+            env.run()
+            assert env.fast_path_active is fast
+            streams.append([r.as_dict() for r in env.records.completed_records])
+        assert streams[0] == streams[1]
+        offline = env.cloud.device_names()[0]
+        assert all(offline not in r["devices"] for r in streams[1])
 
     def test_job_table_requires_eligible_config(self):
         table = JobTable.synthetic(5, seed=1, qubit_range=(2, 8),

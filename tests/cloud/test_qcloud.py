@@ -26,6 +26,7 @@ class TestConstruction:
         device = IBMQuantumDevice(env, small_profile)
         cloud = QCloud(env, [device])
         assert cloud.devices[0] is device
+        assert device.cloud is cloud
 
     def test_rejects_empty_fleet(self, env):
         with pytest.raises(ValueError):
@@ -108,3 +109,17 @@ class TestCapacityReleasedSignal:
         env.process(releaser(env, cloud))
         env.run()
         assert log == [1, 3]
+
+
+class TestAvailability:
+    def test_epoch_counts_online_offline_transitions(self, cloud):
+        device = cloud.devices[0]
+        assert cloud.availability_epoch == 0
+        device.set_offline(cause="maintenance")
+        device.set_offline(cause="outage")  # already offline: no transition
+        assert cloud.availability_epoch == 1
+        device.set_online("outage")  # maintenance persists: still offline
+        assert cloud.availability_epoch == 1
+        device.set_online("maintenance")
+        assert cloud.availability_epoch == 2
+        assert [d.name for d in cloud.online_devices] == cloud.device_names()

@@ -99,3 +99,55 @@ class TestIBMQuantumDevice:
     def test_from_profile_constructor(self, env, small_profile):
         device = IBMQuantumDevice.from_profile(env, small_profile)
         assert isinstance(device, IBMQuantumDevice)
+
+    def test_error_score_matches_uncached_formula_bit_for_bit(self, device):
+        from repro.metrics.error_score import error_score_from_averages
+
+        for weights in ((0.5, 0.3, 0.2), (1.0, 0.0, 0.0), (0.2, 0.2, 0.6)):
+            expected = error_score_from_averages(
+                device.avg_readout_error,
+                device.avg_single_qubit_error,
+                device.avg_two_qubit_error,
+                *weights,
+            )
+            assert device.error_score(*weights) == expected
+            assert device.error_score(*weights) == expected  # cached hit
+
+    def test_error_score_cache_invalidated_by_calibration_drift(self, device):
+        from repro.metrics.error_score import error_score
+
+        before = device.error_score()
+        assert before == error_score(device.calibration)
+        device.calibration = device.calibration.scaled(readout=2.0, two_qubit=1.5)
+        after = device.error_score()
+        assert after != before
+        assert after == error_score(device.calibration)
+
+    def test_error_score_invalid_weights_raise_on_every_call(self, device):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                device.error_score(alpha=-1.0)
+
+
+class TestAvailability:
+    def test_killing_outage_interrupts_in_start_order(self, env, small_profile):
+        # A set of processes would interrupt in object-address order, which
+        # changes from run to run in one interpreter; the kill order must
+        # follow the order the sub-jobs started in.
+        device = IBMQuantumDevice(env, small_profile)
+        aborted = []
+
+        def subjob(index):
+            result = yield env.process(device.execute(fragment(q=1, shots=10_000 + index)))
+            if result.aborted:
+                aborted.append(index)
+
+        def outage():
+            yield env.timeout(0.5)
+            device.set_offline(kill_running=True)
+
+        for index in range(8):
+            env.process(subjob(index))
+        env.process(outage())
+        env.run()
+        assert aborted == list(range(8))

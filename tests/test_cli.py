@@ -178,7 +178,7 @@ class TestTrain:
 class TestSimulateFastPath:
     def test_fast_path_matches_legacy_records(self, capsys, tmp_path):
         outputs = {}
-        for flag, label in (([], "legacy"), (["--fast-path"], "fast")):
+        for flag, label in ((["--no-fast-path"], "legacy"), ([], "fast")):
             records_path = str(tmp_path / f"{label}.csv")
             code = main(
                 ["simulate", "--policy", "speed", "-n", "8", "--seed", "4",
@@ -192,7 +192,7 @@ class TestSimulateFastPath:
     def test_stats_reports_engine_and_counters(self, capsys):
         assert main(["simulate", "-n", "5", "--seed", "2", "--stats"]) == 0
         out = capsys.readouterr().out
-        assert "engine        : legacy processes" in out
+        assert "engine        : flat fast path" in out
         assert "events        :" in out
         assert "batches" in out
         assert "peak queue    :" in out
@@ -203,3 +203,10 @@ class TestSimulateFastPath:
         out = capsys.readouterr().out
         assert "engine        : flat fast path" in out
         assert "jobs completed: 5" in out
+
+    def test_stats_no_fast_path_names_the_legacy_reason(self, capsys):
+        assert main(["simulate", "-n", "5", "--seed", "2", "--stats", "--no-fast-path"]) == 0
+        assert "engine        : legacy: fast_path disabled" in capsys.readouterr().out
+        assert main(["simulate", "-n", "5", "--seed", "2", "--stats",
+                     "--tenants", "single"]) == 0
+        assert "engine        : legacy: tenant mix" in capsys.readouterr().out
