@@ -15,6 +15,8 @@ of the error-aware strategy's fidelity advantage survives the change:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.experiments import run_policy_simulation, sweep_error_score_weights
@@ -38,7 +40,7 @@ def test_ablation_error_score_weights(benchmark):
 
     def run():
         results = {}
-        speed_summary, _ = run_policy_simulation(config.with_policy("speed"), policy=SpeedPolicy())
+        speed_summary, _ = run_policy_simulation(replace(config, policy="speed"), policy=SpeedPolicy())
         results["speed baseline"] = speed_summary
         by_weights = sweep_error_score_weights(list(WEIGHT_SETS.values()), config=config)
         for label, weights in WEIGHT_SETS.items():
@@ -63,10 +65,10 @@ def test_ablation_strict_vs_spill(benchmark):
 
     def run():
         strict, _ = run_policy_simulation(
-            config.with_policy("fidelity"), policy=ErrorAwarePolicy(strict=True)
+            replace(config, policy="fidelity"), policy=ErrorAwarePolicy(strict=True)
         )
         spill, _ = run_policy_simulation(
-            config.with_policy("fidelity"), policy=ErrorAwarePolicy(strict=False)
+            replace(config, policy="fidelity"), policy=ErrorAwarePolicy(strict=False)
         )
         return strict, spill
 

@@ -40,6 +40,7 @@ import os
 import resource
 import time
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -138,7 +139,7 @@ def _legacy_baseline(num_jobs: int):
     gc.disable()
     try:
         start = time.perf_counter()
-        env = QCloudSimEnv(config=SimulationConfig(), jobs=jobs, fast_path=False)
+        env = QCloudSimEnv(config=SimulationConfig(fast_path=False), jobs=jobs)
         env.run()
         wall = time.perf_counter() - start
     finally:
@@ -209,16 +210,6 @@ def test_scale_benchmark():
             f"the legacy engine ({baseline_jps:,.0f} jobs/s)"
         )
 
-    serve_baseline = None
-    serve_path = RESULTS_PATH.parent / "BENCH_serve.json"
-    if serve_path.exists():
-        serve_payload = json.loads(serve_path.read_text())
-        serve_baseline = (
-            serve_payload.get("mixes", {})
-            .get("plain-broker", {})
-            .get("dispatch_throughput_jobs_per_s")
-        )
-
     payload = {
         "benchmark": "scale",
         "tiny": TINY,
@@ -247,9 +238,8 @@ def test_scale_benchmark():
                 "jobs_per_s": baseline_jps,
             },
             "speedup_vs_legacy_engine": throughput / baseline_jps,
-            "serve_bench_plain_broker_jobs_per_s": serve_baseline,
         },
-        "event_loop": stats.as_dict(),
+        "event_loop": asdict(stats),
         "streaming_aggregates": records.aggregates(),
         "memory": {
             "peak_rss_mb": peak_rss_mb,
@@ -268,7 +258,7 @@ def test_scale_benchmark():
           f"({BASELINE_JOBS:,} jobs) -> {throughput / baseline_jps:.1f}x")
     print(f"  event loop          : {stats.events_processed:,} events, "
           f"{stats.events_per_second:,.0f} events/s, "
-          f"max batch {stats.max_batch_size}")
+          f"peak queue {stats.peak_queue_size:,}")
     print(f"  streaming memory    : {peaks[MEM_SMALL]:,}B @ {MEM_SMALL:,} jobs "
           f"-> {peaks[MEM_LARGE]:,}B @ {MEM_LARGE:,} jobs "
           f"({mem_ratio:.2f}x for {jobs_ratio:.0f}x)")

@@ -20,6 +20,8 @@ calibration snapshots and the scaled job count):
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.experiments import run_case_study
@@ -74,7 +76,7 @@ def test_table2_single_strategy_runtime(benchmark, strategy):
     """Wall-clock cost of simulating one Table 2 row (simulator throughput)."""
     from repro.analysis.experiments import run_policy_simulation
 
-    config = case_study_config(num_jobs=40).with_policy(strategy)
+    config = replace(case_study_config(num_jobs=40), policy=strategy)
 
     def run():
         summary, _records = run_policy_simulation(config)

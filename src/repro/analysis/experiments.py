@@ -19,7 +19,7 @@ and process-pool backends and result-store caching (pass ``runner=`` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.config import SimulationConfig
@@ -193,7 +193,7 @@ def sweep_error_score_weights(
 ) -> Dict[Tuple[float, float, float], StrategySummary]:
     """Ablation: sweep the error-score weights (α, θ, γ) of Eq. (2)."""
     config = config if config is not None else SimulationConfig(num_jobs=50)
-    base = config.with_policy("fidelity")
+    base = replace(config, policy="fidelity")
     cells = [
         ExperimentCell(
             index=i,

@@ -397,8 +397,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             stats = EventLoopStats.from_env(env, wall_seconds=wall)
             # "flat fast path", or "legacy: <why the flat path did not run>".
             print(f"engine        : {'flat ' if env.fast_path_active else ''}{env.engine_reason}")
-            print(f"events        : {stats.events_processed:,} in {stats.batches_processed:,} batches "
-                  f"(mean {stats.mean_batch_size:.2f}, max {stats.max_batch_size})")
+            print(f"events        : {stats.events_processed:,}")
             print(f"peak queue    : {stats.peak_queue_size:,}")
             if stats.events_per_second is not None:
                 print(f"throughput    : {stats.events_per_second:,.0f} events/s "
@@ -632,8 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(byte-identical results); --no-fast-path forces the legacy "
                             "engine. --stats prints which engine ran and why")
     p_sim.add_argument("--stats", action="store_true",
-                       help="print event-loop statistics (events, batches, events/s); "
-                            "runs in-process")
+                       help="print the engine and event-loop statistics (events, peak queue, "
+                            "events/s); runs in-process")
     p_sim.add_argument("--regions",
                        help="multi-region topology preset (see 'repro regions'); runs one "
                             "broker shard per region behind the routing tier")

@@ -145,55 +145,3 @@ class SimulationConfig:
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict view (for logging next to results)."""
         return asdict(self)
-
-    def with_policy(self, policy: str) -> "SimulationConfig":
-        """Copy of the configuration with a different allocation policy."""
-        payload = asdict(self)
-        payload["policy"] = policy
-        return SimulationConfig(**payload)
-
-    def scaled(self, num_jobs: int) -> "SimulationConfig":
-        """Copy of the configuration with a different job count (for quick runs)."""
-        payload = asdict(self)
-        payload["num_jobs"] = num_jobs
-        return SimulationConfig(**payload)
-
-    def with_scenario(self, scenario: Optional[str]) -> "SimulationConfig":
-        """Copy of the configuration with a different scenario."""
-        payload = asdict(self)
-        payload["scenario"] = scenario
-        return SimulationConfig(**payload)
-
-    def with_tenants(self, tenants: Optional[str]) -> "SimulationConfig":
-        """Copy of the configuration with a different tenant mix."""
-        payload = asdict(self)
-        payload["tenants"] = tenants
-        return SimulationConfig(**payload)
-
-    def with_checkpointing(self, checkpointing: bool = True) -> "SimulationConfig":
-        """Copy of the configuration with checkpointed preemption toggled."""
-        payload = asdict(self)
-        payload["checkpointing"] = checkpointing
-        return SimulationConfig(**payload)
-
-    def with_fast_path(self, fast_path: bool = True) -> "SimulationConfig":
-        """Copy of the configuration with the flat-event fast path toggled."""
-        payload = asdict(self)
-        payload["fast_path"] = fast_path
-        return SimulationConfig(**payload)
-
-    def with_regions(
-        self, regions: Optional[str], routing: Optional[str] = None
-    ) -> "SimulationConfig":
-        """Copy of the configuration with a different region topology."""
-        payload = asdict(self)
-        payload["regions"] = regions
-        if routing is not None:
-            payload["routing"] = routing
-        return SimulationConfig(**payload)
-
-    def with_adaptive(self, adaptive: Optional[str]) -> "SimulationConfig":
-        """Copy of the configuration with a different adaptive QoS policy."""
-        payload = asdict(self)
-        payload["adaptive"] = adaptive
-        return SimulationConfig(**payload)

@@ -73,19 +73,14 @@ class QCloudSimEnv(Environment):
         :class:`~repro.cloud.records.JobRecordsManager`).  Pass a
         :class:`~repro.cloud.records_stream.StreamingRecordsManager` for
         O(1)-memory million-job runs.
-    fast_path:
-        Use the flat-event dispatcher (:mod:`repro.cloud.fastpath`) instead
-        of per-job broker processes when the configuration is eligible
-        (overrides ``config.fast_path``, which defaults to ``True``; pass
-        ``False`` to force the legacy engine).  Byte-identical results;
-        ineligible configurations run on the legacy engine.  Whether the
-        dispatcher engaged is reported by :attr:`fast_path_active`, and why
-        not by :attr:`engine_reason` (e.g. ``"legacy: tenant mix"``).
     job_table:
         A :class:`~repro.cloud.fastpath.JobTable` as the workload — the
         streaming bulk form that never materialises per-job objects.
         Requires an eligible configuration (raises ``ValueError`` otherwise)
-        and implies ``fast_path``.  Mutually exclusive with ``jobs``.
+        and runs on the flat dispatcher even when ``config.fast_path`` is
+        ``False``.  Mutually exclusive with ``jobs``.  (Otherwise
+        ``config.fast_path`` picks the engine; :attr:`fast_path_active` and
+        :attr:`engine_reason` report which one runs and why.)
     adaptive:
         Adaptive QoS policy: a registered preset name (``"static"``,
         ``"reactive"``, ``"predictive"``) or an
@@ -105,7 +100,6 @@ class QCloudSimEnv(Environment):
         scenario: Optional[Any] = None,
         tenants: Optional[Any] = None,
         records: Optional[JobRecordsManager] = None,
-        fast_path: Optional[bool] = None,
         job_table: Optional[Any] = None,
         adaptive: Optional[Any] = None,
     ) -> None:
@@ -239,7 +233,6 @@ class QCloudSimEnv(Environment):
             )
 
         # -- dispatch engine -----------------------------------------------------
-        want_fast = fast_path if fast_path is not None else self.config.fast_path
         eligibility = flat_path_eligible(
             self.broker, self.tenant_mix, self.scenario, self.adaptive_policy
         )
@@ -250,7 +243,9 @@ class QCloudSimEnv(Environment):
                 f"active adaptive policy), not one with: {eligibility.reason}"
             )
         #: Whether the flat-event dispatcher is driving this run.
-        self.fast_path_active = bool(eligibility) and (want_fast or job_table is not None)
+        self.fast_path_active = bool(eligibility) and (
+            self.config.fast_path or job_table is not None
+        )
         #: Which engine runs and why: ``"fast path"``, or ``"legacy: <reason>"``
         #: (``fast_path disabled``, or the :func:`flat_path_eligible` reason).
         self.engine_reason = (

@@ -40,6 +40,12 @@ rests on three invariants of the legacy engine:
    use), after every same-timestamp completion has released its qubits.
    The dispatcher's pump event runs at priority ``PUMP`` (after every
    NORMAL event of the timestamp) and re-plans the head at most once.
+   When a completion asks for a pump, an O(1) peek at the heap decides
+   whether another event is still due at ``now``; only if none is does the
+   pump run inline.  This relies on the DES loop dispatching one event at
+   a time (:meth:`~repro.des.environment.Environment.step`), so every
+   same-timestamp event that has not run yet is still in the heap where
+   the peek sees it.
 3. Reservation (``Container.get``) and release mutate the qubit level
    synchronously at event creation, so direct level arithmetic — without
    creating the events — leaves identical fleet states behind.

@@ -3,18 +3,18 @@
 This subpackage is a from-scratch, dependency-free replacement for the subset
 of SimPy that the paper's simulation framework relies on:
 
-* :class:`~repro.des.environment.Environment` — the event loop and simulation
-  clock,
+* :class:`~repro.des.environment.Environment` — the simulation clock and
+  event heap, dispatched one event at a time by ``Environment.step`` (which
+  ``Environment.run`` calls in a loop),
 * generator-based :class:`~repro.des.events.Process` objects,
 * :class:`~repro.des.events.Timeout`, :class:`~repro.des.events.Event`,
   :class:`~repro.des.events.AllOf` / :class:`~repro.des.events.AnyOf`
   composite conditions,
-* shared resources: :class:`~repro.des.resources.resource.Resource`,
-  :class:`~repro.des.resources.resource.PriorityResource`,
-  :class:`~repro.des.resources.container.Container` (used to model QPU qubit
-  pools) and :class:`~repro.des.resources.store.Store` /
-  :class:`~repro.des.resources.store.FilterStore` /
-  :class:`~repro.des.resources.store.PriorityStore`.
+* shared resources: :class:`~repro.des.resources.resource.Resource` (broker
+  admission) and :class:`~repro.des.resources.container.Container` (QPU
+  qubit pools),
+* monitoring: :func:`~repro.des.monitoring.trace_events` and
+  :class:`~repro.des.monitoring.EventLoopStats`.
 
 The public API mirrors SimPy's so that code written against SimPy (such as the
 quantum-cloud layer in :mod:`repro.cloud`) ports over with only the import
@@ -48,10 +48,9 @@ from repro.des.events import (
     Timeout,
 )
 from repro.des.exceptions import Interrupt, SimulationError, StopSimulation
-from repro.des.monitoring import PeriodicSampler, trace_events
+from repro.des.monitoring import trace_events
 from repro.des.resources.container import Container
-from repro.des.resources.resource import PreemptiveResource, PriorityResource, Resource
-from repro.des.resources.store import FilterStore, PriorityItem, PriorityStore, Store
+from repro.des.resources.resource import Resource
 
 __all__ = [
     "AllOf",
@@ -61,19 +60,13 @@ __all__ = [
     "Container",
     "Environment",
     "Event",
-    "FilterStore",
     "Initialize",
     "Interrupt",
     "Interruption",
-    "PeriodicSampler",
-    "PreemptiveResource",
-    "PriorityItem",
-    "PriorityResource",
     "Process",
     "Resource",
     "SimulationError",
     "StopSimulation",
-    "Store",
     "Timeout",
     "trace_events",
 ]

@@ -34,11 +34,14 @@ class Environment:
     Event ordering is deterministic: events scheduled for the same time are
     processed in ``(priority, insertion order)`` order.
 
-    The event loop is the hottest code in the simulator, so the class uses
-    ``__slots__`` and :meth:`run` drives an inlined step loop with the heap
-    primitives pre-bound to locals.  Subclasses (e.g. the quantum-cloud
-    environment) may freely add attributes — they fall back to a normal
-    instance ``__dict__``.
+    :meth:`step` is the one dispatch implementation: it pops a single
+    event, runs its callbacks and counts it, and :meth:`run` simply calls it
+    in a loop.  Every callback therefore sees the queue exactly as the
+    events dispatched before it left it — including the other events still
+    pending at the same timestamp.  The class uses ``__slots__`` because
+    the loop is the hottest code in the simulator; subclasses (e.g. the
+    quantum-cloud environment) may freely add attributes — they fall back
+    to a normal instance ``__dict__``.
 
     Parameters
     ----------
@@ -53,8 +56,6 @@ class Environment:
         "_active_proc",
         "_trace",
         "_ev_count",
-        "_batch_count",
-        "_max_batch",
         "_peak_queue",
     )
 
@@ -65,8 +66,6 @@ class Environment:
         self._active_proc: Optional[Process] = None
         self._trace: Optional[TraceCallback] = None
         self._ev_count: int = 0
-        self._batch_count: int = 0
-        self._max_batch: int = 0
         self._peak_queue: int = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -91,22 +90,12 @@ class Environment:
     # -- event-loop counters ---------------------------------------------------
     @property
     def events_processed(self) -> int:
-        """Events dispatched by the loop since construction (or :meth:`rewind`)."""
+        """Events dispatched by the loop since construction."""
         return self._ev_count
 
     @property
-    def batches_processed(self) -> int:
-        """Same-``(time, priority)`` batches drained by the loop."""
-        return self._batch_count
-
-    @property
-    def max_batch_size(self) -> int:
-        """Largest number of events dispatched in one batch."""
-        return self._max_batch
-
-    @property
     def peak_queue_size(self) -> int:
-        """Largest event-queue depth observed before a batch pop."""
+        """Largest event-queue depth observed before a pop."""
         return self._peak_queue
 
     # -- event factories -----------------------------------------------------
@@ -179,7 +168,10 @@ class Environment:
         return self._queue[0][0] if self._queue else Infinity
 
     def step(self) -> None:
-        """Process the next scheduled event.
+        """Process the next scheduled event (the loop body of :meth:`run`).
+
+        Updates the event-loop counters, calls the trace hook (if one is
+        installed) and then the event's callbacks.
 
         Raises :class:`EmptySchedule` if no event is scheduled.  If the event
         failed and its exception was never *defused* (nobody waited for it),
@@ -194,9 +186,6 @@ class Environment:
         except IndexError:
             raise EmptySchedule("No scheduled events left") from None
         self._ev_count += 1
-        self._batch_count += 1
-        if self._max_batch < 1:
-            self._max_batch = 1
 
         if self._trace is not None:
             self._trace(self._now, priority, event)
@@ -212,97 +201,6 @@ class Environment:
             if isinstance(exc, BaseException):
                 raise exc
             raise SimulationError(f"Event {event!r} failed with non-exception {exc!r}")
-
-    def _run_fast(self) -> None:
-        """Drain the queue with the heap primitives pre-bound to locals.
-
-        Events sharing the head's ``(time, priority)`` are popped as one
-        batch and their callbacks dispatched together: callbacks frequently
-        schedule more work at the current timestamp, and draining the group
-        in one sweep lets dispatchers coalesce their reaction into a single
-        wake-up instead of one per event.  Dispatch order within a batch is
-        the heap order (insertion order for same-time events), so results
-        are identical to repeated :meth:`step` calls.
-
-        The trace hook is re-checked every iteration (a slot load and an
-        ``is`` test — negligible next to callback dispatch), so installing
-        or removing :func:`~repro.des.monitoring.trace_events` mid-run takes
-        effect immediately — any undispatched remainder of the current batch
-        is pushed back (with its original sequence numbers) and re-processed
-        through the traced :meth:`step` path.  The same push-back runs when a
-        callback raises (e.g. ``StopSimulation`` from an ``until`` event), so
-        a stopped simulation can be resumed without losing events.  Raises
-        :class:`EmptySchedule` (queue drained) or :class:`StopSimulation`
-        (an ``until`` event fired), exactly like repeated :meth:`step` calls.
-        """
-        queue = self._queue
-        pop = heappop
-        push = heappush
-        step = self.step
-        while True:
-            if self._trace is not None:
-                step()
-                continue
-            if not queue:
-                raise EmptySchedule("No scheduled events left")
-            qlen = len(queue)
-            if qlen > self._peak_queue:
-                self._peak_queue = qlen
-            head = pop(queue)
-            time = head[0]
-            priority = head[1]
-            self._now = time
-            if not queue or queue[0][0] != time or queue[0][1] != priority:
-                # Batch of one — the common case for workloads whose arrival
-                # and completion times are all distinct.  Counters first
-                # (the batch path counts an event before dispatching it),
-                # then dispatch without the batch list or remainder
-                # bookkeeping.
-                self._ev_count += 1
-                self._batch_count += 1
-                if self._max_batch < 1:
-                    self._max_batch = 1
-                event = head[3]
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks or ():
-                    callback(event)
-                if not event._ok and not event._defused:
-                    exc = event._value
-                    if isinstance(exc, BaseException):
-                        raise exc
-                    raise SimulationError(
-                        f"Event {event!r} failed with non-exception {exc!r}"
-                    )
-                continue
-            batch = [head]
-            while queue and queue[0][0] == time and queue[0][1] == priority:
-                batch.append(pop(queue))
-            size = len(batch)
-            index = 0
-            try:
-                while index < size:
-                    if self._trace is not None:
-                        break
-                    event = batch[index][3]
-                    index += 1
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks or ():
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        if isinstance(exc, BaseException):
-                            raise exc
-                        raise SimulationError(
-                            f"Event {event!r} failed with non-exception {exc!r}"
-                        )
-            finally:
-                self._ev_count += index
-                if index:
-                    self._batch_count += 1
-                    if index > self._max_batch:
-                        self._max_batch = index
-                for entry in batch[index:]:
-                    push(queue, entry)
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
@@ -344,8 +242,10 @@ class Environment:
             assert until.callbacks is not None
             until.callbacks.append(StopSimulation.callback)
 
+        step = self.step
         try:
-            self._run_fast()
+            while True:
+                step()
         except StopSimulation as exc:
             return exc.value
         except EmptySchedule:
@@ -354,17 +254,3 @@ class Environment:
                     f"No scheduled events left but your simulation has not finished: {until!r}"
                 ) from None
         return None
-
-    def rewind(self, to_time: float = 0) -> None:
-        """Reset the clock and drop all scheduled events.
-
-        Convenience used by tests and by repeated benchmark runs; SimPy does
-        not offer this but it is harmless because environments are cheap.
-        """
-        self._now = to_time
-        self._queue.clear()
-        self._active_proc = None
-        self._ev_count = 0
-        self._batch_count = 0
-        self._max_batch = 0
-        self._peak_queue = 0

@@ -164,7 +164,8 @@ class P2Quantile:
                     candidate = q1 + (q2 - q1) / (n2 - n1)
                 else:
                     candidate = q1 - (q0 - q1) / (1.0 - n1)
-            self._q1 = q1 = candidate
+            if q0 < candidate < q2:
+                self._q1 = q1 = candidate
             n1 += step
         self._n1 = n1
 
@@ -180,7 +181,8 @@ class P2Quantile:
                     candidate = q2 + (q3 - q2) / (n3 - n2)
                 else:
                     candidate = q2 - (q1 - q2) / (n1 - n2)
-            self._q2 = q2 = candidate
+            if q1 < candidate < q3:
+                self._q2 = q2 = candidate
             n2 += step
         self._n2 = n2
 
@@ -196,7 +198,8 @@ class P2Quantile:
                     candidate = q3 + (q4 - q3) / (n4 - n3)
                 else:
                     candidate = q3 - (q2 - q3) / (n2 - n3)
-            self._q3 = candidate
+            if q2 < candidate < q4:
+                self._q3 = candidate
             n3 += step
         self._n3 = n3
 

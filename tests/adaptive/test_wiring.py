@@ -13,8 +13,10 @@ class TestSimulationConfig:
         assert SimulationConfig().adaptive is None
 
     def test_with_adaptive_copies(self):
+        from dataclasses import replace
+
         base = SimulationConfig(num_jobs=5, seed=3)
-        derived = base.with_adaptive("reactive")
+        derived = replace(base, adaptive="reactive")
         assert derived.adaptive == "reactive"
         assert base.adaptive is None
         assert derived.num_jobs == base.num_jobs

@@ -1,5 +1,7 @@
 """Tests for the case-study and ablation runners (scaled-down workloads)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.experiments import (
@@ -24,7 +26,7 @@ def heuristic_case_study(small_config):
 
 class TestRunPolicySimulation:
     def test_single_policy_run(self, small_config):
-        summary, records = run_policy_simulation(small_config.with_policy("speed"))
+        summary, records = run_policy_simulation(replace(small_config, policy="speed"))
         assert summary.num_jobs == 30
         assert len(records) == 30
         assert summary.strategy == "speed"

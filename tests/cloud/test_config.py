@@ -1,5 +1,7 @@
 """Unit tests for the simulation configuration."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cloud.config import SimulationConfig
@@ -34,43 +36,49 @@ class TestDefaults:
 
 
 class TestDerivedConfigs:
+    # Derived configs are ``dataclasses.replace`` copies; ``replace`` re-runs
+    # __post_init__, so they stay validated.
     def test_with_policy_copies(self):
         cfg = SimulationConfig(policy="speed", num_jobs=10)
-        other = cfg.with_policy("fair")
+        other = replace(cfg, policy="fair")
         assert other.policy == "fair"
         assert other.num_jobs == 10
         assert cfg.policy == "speed"
 
     def test_scaled(self):
         cfg = SimulationConfig(num_jobs=1000)
-        small = cfg.scaled(25)
+        small = replace(cfg, num_jobs=25)
         assert small.num_jobs == 25
         assert small.device_names == cfg.device_names
+        with pytest.raises(ValueError):
+            replace(cfg, num_jobs=0)
 
     def test_with_scenario_copies(self):
         cfg = SimulationConfig(num_jobs=10)
-        drifted = cfg.with_scenario("drift")
+        drifted = replace(cfg, scenario="drift")
         assert drifted.scenario == "drift"
         assert drifted.num_jobs == 10
         assert cfg.scenario is None
-        assert drifted.with_scenario(None).scenario is None
+        assert replace(drifted, scenario=None).scenario is None
+        with pytest.raises(ValueError):
+            replace(cfg, scenario="")
 
     def test_with_tenants_copies(self):
         cfg = SimulationConfig(num_jobs=10)
-        served = cfg.with_tenants("free-tier-vs-premium")
+        served = replace(cfg, tenants="free-tier-vs-premium")
         assert served.tenants == "free-tier-vs-premium"
         assert served.num_jobs == 10
         assert cfg.tenants is None
-        assert served.with_tenants(None).tenants is None
+        assert replace(served, tenants=None).tenants is None
 
     def test_with_checkpointing_copies(self):
         cfg = SimulationConfig(num_jobs=10)
         assert cfg.checkpointing is False  # off by default
-        resumable = cfg.with_checkpointing()
+        resumable = replace(cfg, checkpointing=True)
         assert resumable.checkpointing is True
         assert resumable.num_jobs == 10
         assert cfg.checkpointing is False
-        assert resumable.with_checkpointing(False).checkpointing is False
+        assert replace(resumable, checkpointing=False).checkpointing is False
 
     def test_as_dict_roundtrip(self):
         cfg = SimulationConfig(num_jobs=5, seed=9)

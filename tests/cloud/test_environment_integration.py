@@ -1,5 +1,7 @@
 """Integration tests for QCloudSimEnv (full simulations on scaled-down workloads)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cloud.config import SimulationConfig
@@ -76,7 +78,7 @@ class TestFullRun:
     def test_different_policies_give_different_outcomes(self, fast_config):
         results = {}
         for policy in ("speed", "fidelity"):
-            cfg = fast_config.with_policy(policy)
+            cfg = replace(fast_config, policy=policy)
             env = QCloudSimEnv(cfg)
             env.run_until_complete()
             results[policy] = env.summary()

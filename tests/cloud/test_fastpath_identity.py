@@ -10,6 +10,8 @@ plumbing the dispatcher runs on.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,8 @@ def _untrained_rl_policy():
     return RLAllocationPolicy(model)
 
 
-def _run(fast, policy="speed", arrival=None, scenario=None, jobs=None, n=50):
+def _run(fast, policy="speed", arrival=None, scenario=None, jobs=None, n=50,
+         device_names=None):
     """One simulation; returns (events, records, failed, fast_path_active)."""
     if jobs is None:
         jobs = generate_synthetic_jobs(
@@ -44,8 +47,11 @@ def _run(fast, policy="speed", arrival=None, scenario=None, jobs=None, n=50):
             arrival="poisson" if arrival is not None else "batch",
             arrival_rate=arrival if arrival is not None else 0.01,
         )
+    config = SimulationConfig(policy=policy, fast_path=fast)
+    if device_names is not None:
+        config = replace(config, device_names=list(device_names))
     env = QCloudSimEnv(
-        config=SimulationConfig(policy=policy, fast_path=fast),
+        config=config,
         jobs=jobs,
         policy=_untrained_rl_policy() if policy == "rlbase" else None,
         scenario=scenario,
@@ -69,6 +75,29 @@ class TestByteIdentity:
                 assert legacy[0] == fast[0], (policy, arrival, scenario, "events")
                 assert legacy[1] == fast[1], (policy, arrival, scenario, "records")
                 assert legacy[2] == fast[2], (policy, arrival, scenario, "failed")
+
+    @pytest.mark.parametrize("policy", ["speed", "fidelity", "fair", "balanced"])
+    def test_simultaneous_completions(self, policy):
+        # Equal-shape jobs on two devices finish at the same instant.  The
+        # waiting head must re-plan once, after *all* of them have released
+        # their qubits — not in between (which would split job 4 across
+        # both devices and delay job 6).
+        def job(job_id, qubits, shots):
+            return QJob(
+                job_id=job_id,
+                circuit=CircuitSpec(num_qubits=qubits, depth=5, num_shots=shots,
+                                    num_two_qubit_gates=10),
+                arrival_time=0.0,
+            )
+
+        jobs = [job(i, 60, 1000) for i in range(4)] + [job(i, 120, 500) for i in range(4, 7)]
+        fleet = ["ibm_strasbourg", "ibm_brussels"]
+        legacy = _run(False, policy, jobs=jobs, device_names=fleet)
+        fast = _run(True, policy, jobs=jobs, device_names=fleet)
+        assert fast[3] and not legacy[3]
+        assert legacy[0] == fast[0], "events"
+        assert legacy[1] == fast[1], "records"
+        assert legacy[2] == fast[2], "failed"
 
     def test_capacity_exceeding_job_fails_identically(self):
         # One job wider than the whole fleet exercises the can-ever-fit

@@ -84,12 +84,6 @@ class TestRun:
         with pytest.raises(KeyError):
             env.run()
 
-    def test_rewind_clears_queue(self, env):
-        env.timeout(5)
-        env.rewind()
-        assert env.queue_size == 0
-        assert env.now == 0
-
 
 class TestDeterminism:
     def test_same_time_events_fifo(self, env):
@@ -99,6 +93,17 @@ class TestDeterminism:
             t.callbacks.append(lambda e: order.append(e.value))
         env.run()
         assert order == ["a", "b", "c"]
+
+    def test_same_time_events_stay_queued_until_dispatched(self, env):
+        # The loop dispatches one event at a time: while the first of three
+        # same-time events runs, the other two are still in the heap.
+        seen = []
+        for _ in range(3):
+            env.timeout(1).callbacks.append(
+                lambda e: seen.append((env.peek(), env.queue_size))
+            )
+        env.run()
+        assert seen == [(1, 2), (1, 1), (float("inf"), 0)]
 
     def test_interleaved_processes_are_deterministic(self):
         def worker(env, name, log, period):

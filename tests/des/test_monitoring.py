@@ -1,9 +1,6 @@
 """Unit tests for DES monitoring utilities."""
 
-import pytest
-
-from repro.des import Container, Environment
-from repro.des.monitoring import EventLoopStats, PeriodicSampler, trace_events
+from repro.des.monitoring import EventLoopStats, trace_events
 
 
 class TestTraceEvents:
@@ -36,65 +33,21 @@ class TestTraceEvents:
         assert len(log) == first_count
 
 
-class TestPeriodicSampler:
-    def test_samples_at_fixed_period(self, env):
-        container = Container(env, capacity=100, init=100)
-
-        def worker(env, container):
-            yield container.get(40)
-            yield env.timeout(5)
-            yield container.put(40)
-
-        env.process(worker(env, container))
-        sampler = PeriodicSampler(env, lambda: container.level, period=1.0)
-        env.run(until=8)
-        assert sampler.times == [0.0] + [float(t) for t in range(1, 8)]
-        assert sampler.values[0] in (100, 60)
-        assert 60 in sampler.values
-        assert sampler.values[-1] == 100
-
-    def test_stop_ends_sampling(self, env):
-        sampler = PeriodicSampler(env, lambda: 1, period=1.0)
-        env.timeout(10)  # keep the schedule non-empty beyond the stop
-        sampler.stop()
-        env.run()
-        assert len(sampler.samples) <= 2
-
-    def test_invalid_period(self, env):
-        with pytest.raises(ValueError):
-            PeriodicSampler(env, lambda: 0, period=0.0)
-
-    def test_delayed_start(self, env):
-        sampler = PeriodicSampler(env, lambda: env.now, period=2.0, start_immediately=False)
-
-        def background(env):
-            yield env.timeout(5)
-
-        env.process(background(env))
-        env.run(until=5)
-        assert sampler.times == [2.0, 4.0]
-
-
 class TestEventLoopStats:
     def test_fresh_env_is_zeroed(self, env):
         stats = EventLoopStats.from_env(env)
         assert stats.events_processed == 0
-        assert stats.batches_processed == 0
-        assert stats.max_batch_size == 0
-        assert stats.mean_batch_size == 0.0
+        assert stats.peak_queue_size == 0
         assert stats.events_per_second is None
 
-    def test_counts_events_and_batches(self, env):
+    def test_counts_events_and_peak_queue(self, env):
         for _ in range(5):
-            env.timeout(3)  # same (time, priority): one drained batch
+            env.timeout(3)
         env.timeout(7)
         env.run()
         stats = EventLoopStats.from_env(env)
         assert stats.events_processed == 6
-        assert stats.batches_processed == 2
-        assert stats.max_batch_size == 5
-        assert stats.mean_batch_size == 3.0
-        assert stats.peak_queue_size >= 6
+        assert stats.peak_queue_size == 6
 
     def test_same_timestamp_batch_preserves_order(self, env):
         order = []
@@ -114,7 +67,6 @@ class TestEventLoopStats:
         env.schedule(urgent, priority=URGENT, delay=1)
         env.run()
         assert order == ["urgent", "normal"]
-        assert env.batches_processed == 2
 
     def test_events_per_second_needs_wall_time(self, env):
         env.timeout(1)
@@ -123,25 +75,3 @@ class TestEventLoopStats:
         assert EventLoopStats.from_env(env, wall_seconds=0.0).events_per_second is None
         stats = EventLoopStats.from_env(env, wall_seconds=0.5)
         assert stats.events_per_second == 2.0
-
-    def test_as_dict(self, env):
-        env.timeout(1)
-        env.run()
-        payload = EventLoopStats.from_env(env).as_dict()
-        assert payload == {
-            "events_processed": 1,
-            "batches_processed": 1,
-            "mean_batch_size": 1.0,
-            "max_batch_size": 1,
-            "peak_queue_size": 1,
-        }
-        timed = EventLoopStats.from_env(env, wall_seconds=0.25).as_dict()
-        assert timed["events_per_second"] == 4.0
-
-    def test_rewind_resets_counters(self, env):
-        env.timeout(1)
-        env.run()
-        assert env.events_processed == 1
-        env.rewind()
-        assert env.events_processed == 0
-        assert env.batches_processed == 0

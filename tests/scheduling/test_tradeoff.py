@@ -1,5 +1,7 @@
 """Unit tests for the extension policies (balanced trade-off, min-fragmentation)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.scheduling.registry import create_policy
@@ -84,7 +86,7 @@ class TestRegistryIntegration:
         fidelities = {}
         for weight in (0.0, 1.0):
             summary, _ = run_policy_simulation(
-                cfg.with_policy("balanced"), policy=BalancedTradeoffPolicy(weight)
+                replace(cfg, policy="balanced"), policy=BalancedTradeoffPolicy(weight)
             )
             fidelities[weight] = summary.mean_fidelity
         assert fidelities[1.0] >= fidelities[0.0] - 0.01

@@ -194,11 +194,10 @@ class TestSimulateFastPath:
         out = capsys.readouterr().out
         assert "engine        : flat fast path" in out
         assert "events        :" in out
-        assert "batches" in out
         assert "peak queue    :" in out
         assert "events/s" in out
 
-    def test_stats_with_fast_path(self, capsys):
+    def test_stats_fast_path_flag(self, capsys):
         assert main(["simulate", "-n", "5", "--seed", "2", "--stats", "--fast-path"]) == 0
         out = capsys.readouterr().out
         assert "engine        : flat fast path" in out
